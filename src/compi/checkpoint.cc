@@ -33,17 +33,6 @@ std::optional<rt::Outcome> read_outcome(std::istream& is) {
   return rt::outcome_from_string(tok);
 }
 
-double read_double(std::istream& is) {
-  std::string tok;
-  is >> tok;
-  double v = 0.0;
-  const auto [ptr, ec] = std::from_chars(tok.data(), tok.data() + tok.size(), v);
-  if (ec != std::errc{} || ptr != tok.data() + tok.size()) {
-    is.setstate(std::ios::failbit);
-  }
-  return v;
-}
-
 void write_assignment(std::ostream& os, const solver::Assignment& a) {
   os << a.size();
   // Sorted by variable id for a canonical (diff-able) file.
@@ -174,15 +163,9 @@ void CampaignCheckpoint::write(std::ostream& os) const {
   os << "sandbox2 " << warm_spawns << ' ' << cold_forks << ' '
      << fork_server_restarts << ' ' << batch_runs << '\n';
 
-  os << "iterations " << iterations.size() << '\n';
-  for (const IterationRecord& r : iterations) {
-    os << "iter " << r.iteration << ' ' << r.nprocs << ' ' << r.focus << ' '
-       << rt::to_string(r.outcome) << ' ' << r.constraint_set_size << ' '
-       << r.covered_branches << ' ' << format_double(r.exec_seconds) << ' '
-       << format_double(r.solve_seconds) << ' ' << (r.restart ? 1 : 0) << ' '
-       << r.solver_nodes << ' ' << r.retries << ' ' << r.worker << ' '
-       << r.interleaving << '\n';
-  }
+  os << "session " << session.csv_offset << ' ' << session.csv_rows << ' '
+     << session.csv_hash << ' ' << session.rank_log_offset << ' '
+     << session.rank_log_records << '\n';
 
   os << "bugs " << bugs.size() << '\n';
   for (const BugRecord& b : bugs) write_bug(os, b);
@@ -321,31 +304,14 @@ std::optional<CampaignCheckpoint> CampaignCheckpoint::read(std::istream& is) {
     return std::nullopt;
   }
 
-  std::size_t n = 0;
-  if (!expect(is, "iterations") || !(is >> n)) return std::nullopt;
-  c.iterations.reserve(std::min(n, kMaxSaneReserve));
-  for (std::size_t i = 0; i < n; ++i) {
-    IterationRecord r;
-    if (!expect(is, "iter") ||
-        !(is >> r.iteration >> r.nprocs >> r.focus)) {
-      return std::nullopt;
-    }
-    const auto outcome = read_outcome(is);
-    if (!outcome) return std::nullopt;
-    r.outcome = *outcome;
-    if (!(is >> r.constraint_set_size >> r.covered_branches)) {
-      return std::nullopt;
-    }
-    r.exec_seconds = read_double(is);
-    r.solve_seconds = read_double(is);
-    if (!(is >> flag)) return std::nullopt;
-    r.restart = flag != 0;
-    if (!(is >> r.solver_nodes >> r.retries >> r.worker >> r.interleaving)) {
-      return std::nullopt;
-    }
-    c.iterations.push_back(std::move(r));
+  if (!expect(is, "session") ||
+      !(is >> c.session.csv_offset >> c.session.csv_rows >>
+        c.session.csv_hash >> c.session.rank_log_offset >>
+        c.session.rank_log_records)) {
+    return std::nullopt;
   }
 
+  std::size_t n = 0;
   if (!expect(is, "bugs") || !(is >> n)) return std::nullopt;
   c.bugs.reserve(std::min(n, kMaxSaneReserve));
   for (std::size_t i = 0; i < n; ++i) {

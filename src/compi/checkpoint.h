@@ -1,16 +1,21 @@
 // Campaign checkpoints: crash-resilient testing sessions.
 //
 // A long campaign must survive being killed: SessionWriter periodically
-// snapshots the full driver state — registry, RNG-bearing search-strategy
-// state, coverage bitmap, accumulated iteration/bug records, and the
-// already-planned next test — into <dir>/checkpoint.txt, and Campaign::run
-// can resume from it, continuing deterministically where the killed
-// process stopped (same coverage, bug list, and iteration tail as an
-// uninterrupted run).
+// snapshots the driver state — registry, RNG-bearing search-strategy
+// state, coverage bitmap, bug records, and the already-planned next test —
+// into <dir>/checkpoint.txt, and Campaign::run can resume from it,
+// continuing deterministically where the killed process stopped (same
+// coverage, bug list, and iteration tail as an uninterrupted run).
+//
+// Iteration rows are NOT in the snapshot: iterations.csv is their one
+// durable record.  The snapshot holds only where iterations.csv and
+// rank_logs.txt ended when it was taken (SessionMark), so its size depends
+// on campaign state, not on how many iterations ran.
 //
 // The format is line-oriented text.  Strings are escaped (\n, \r, \\) so
 // multi-line fault messages round-trip; doubles use shortest-round-trip
-// formatting so restored timings are bit-exact.
+// formatting (format_double), which iterations.csv shares so the timings
+// a resume reads back from it are bit-exact.
 #pragma once
 
 #include <iosfwd>
@@ -103,11 +108,29 @@ struct CoordShardCursor {
   std::size_t covered_cursor = 0;
 };
 
+/// Where the session's append-only files ended when a snapshot was taken:
+/// byte length, row count and FNV-1a hash of iterations.csv (header
+/// included), and byte length and record count of rank_logs.txt.  A resume
+/// trusts a snapshot only when the files still hold exactly that before
+/// those offsets (read_resume_point in session.h checks).  An offset of 0
+/// means the snapshot points at no such file (coordinator snapshots;
+/// sessions that kept no rank logs).
+struct SessionMark {
+  std::uint64_t csv_offset = 0;
+  std::uint64_t csv_rows = 0;
+  std::uint64_t csv_hash = 0;
+  std::uint64_t rank_log_offset = 0;
+  std::uint64_t rank_log_records = 0;
+};
+
 struct CampaignCheckpoint {
-  // v8: a `sandbox2` line follows the v3 `sandbox` line with the
-  // fork-server engine counters — warm spawns, cold-fork fallbacks, server
-  // restarts, and batched in-process runs — so the overhead accounting
-  // survives a kill + resume.  (v7 added the optional coordinator section
+  // v9: the `iterations` count and its `iter` rows are gone — they grew
+  // with history while iterations.csv already held them — and a `session`
+  // line records the SessionMark instead.  (v8 added a `sandbox2` line
+  // after the v3 `sandbox` line with the fork-server engine counters —
+  // warm spawns, cold-fork fallbacks, server restarts, and batched
+  // in-process runs — so the overhead accounting survives a kill + resume;
+  // v7 added the optional coordinator section
   // (`coord 1`) — global budget/completed counters, outstanding leases,
   // and per-shard merge cursors; v6 added interleaving ids/decision
   // vectors and the interleaving frontier; v5 added worker ordinals and
@@ -115,7 +138,7 @@ struct CampaignCheckpoint {
   // snapshot; v3 added the sandbox accounting line; v2 added solver_nodes
   // and retries to iter lines.)  Older snapshots are rejected and the
   // campaign falls back to a fresh start, by design.
-  static constexpr int kVersion = 8;
+  static constexpr int kVersion = 9;
 
   /// Campaign seed the snapshot was taken under (resume sanity check).
   std::uint64_t seed = 0;
@@ -150,7 +173,8 @@ struct CampaignCheckpoint {
   std::size_t cold_forks = 0;
   std::size_t fork_server_restarts = 0;
   std::size_t batch_runs = 0;
-  std::vector<IterationRecord> iterations;
+  /// The session files the snapshot continues (the v9 `session` line).
+  SessionMark session;
   std::vector<BugRecord> bugs;
   std::vector<sym::BranchId> covered;
   /// Variable metadata in id order (re-interned verbatim on resume so

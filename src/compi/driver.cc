@@ -224,9 +224,10 @@ CampaignResult Campaign::run_serial() {
   InterleavingFrontier interleavings;    // --explore-matchings frontier
 
   // ---- resume a checkpointed session (crash recovery) ----
+  std::vector<RankLogRecord> restored_logs;
   if (options_.resume && !options_.log_dir.empty()) {
-    std::optional<ckpt::CampaignCheckpoint> c =
-        read_checkpoint(options_.log_dir);
+    std::optional<ResumePoint> point = read_resume_point(options_.log_dir);
+    ckpt::CampaignCheckpoint* c = point ? &point->checkpoint : nullptr;
     // A snapshot taken by a parallel campaign carries per-worker cursors the
     // serial loop has no way to honour: start fresh instead of resuming one
     // of N in-flight search lines arbitrarily.
@@ -245,7 +246,8 @@ CampaignResult Campaign::run_serial() {
         rt::CoverageBitmap bitmap(target_.table->num_branches());
         for (sym::BranchId b : c->covered) bitmap.mark(b);
         coverage.merge(bitmap);
-        result.iterations = std::move(c->iterations);
+        result.iterations = std::move(point->iterations);
+        restored_logs = std::move(point->rank_logs);
         result.bugs = std::move(c->bugs);
         result.restarts = c->restarts;
         result.max_constraint_set = c->max_constraint_set;
@@ -295,9 +297,11 @@ CampaignResult Campaign::run_serial() {
     }
   }
 
-  // Open iterations.csv for incremental appends (header + any restored
-  // prefix) so a crash mid-campaign loses at most the in-flight row.
-  if (session) session->begin_iterations(result.iterations);
+  // Open iterations.csv and rank_logs.txt for incremental appends (plus any
+  // restored prefix) so a crash mid-campaign loses at most the in-flight
+  // iteration.
+  if (session) session->begin_iterations(result.iterations, restored_logs);
+  restored_logs = {};
 
   // Open the event journal alongside it.  On resume the journal keeps only
   // events below the checkpoint boundary, so its iteration events stay
@@ -499,8 +503,8 @@ CampaignResult Campaign::run_serial() {
     if (!session) return;
     obs::ObsSpan span(obs::Cat::kCheckpoint, "save_checkpoint", "iteration",
                       next_iteration);
-    // The checkpoint reads the ledger and the iteration records wholesale;
-    // keep /explain out while the snapshot is taken.
+    // The checkpoint reads the ledger wholesale; keep /explain out while the
+    // snapshot is taken.
     const auto live = live_lock();
     ckpt::CampaignCheckpoint c;
     c.seed = options_.seed;
@@ -526,7 +530,7 @@ CampaignResult Campaign::run_serial() {
     c.cold_forks = result.cold_forks;
     c.fork_server_restarts = result.fork_server_restarts;
     c.batch_runs = result.batch_runs;
-    c.iterations = result.iterations;
+    c.session = session->mark();
     c.bugs = result.bugs;
     c.covered = coverage.bitmap().covered_ids();
     c.registry = registry.all();

@@ -11,9 +11,9 @@
 //
 // Iteration ordinals are dealt from one atomic ticket counter, so the
 // campaign executes exactly the configured budget regardless of how the
-// work interleaves.  Rows land in iterations.csv in completion order
-// (each tagged with its worker) and are re-sorted by ordinal for the
-// final summary rewrite.
+// work interleaves.  Rows land in iterations.csv (and rank logs in
+// rank_logs.txt) in completion order, each row tagged with its worker;
+// the CSV is re-sorted by ordinal once, when the summary is written.
 //
 // The negation frontier is deduplicated across workers: before solving a
 // candidate that steers toward an uncovered untaken arm, a worker claims
@@ -32,8 +32,9 @@
 //
 // Checkpointing: the snapshot embeds one WorkerCursor per worker (plan +
 // strategy state) plus the contiguous completed-iteration prefix; resume
-// requires the same seed AND the same --workers, otherwise the campaign
-// starts fresh rather than remapping in-flight search lines.
+// keeps the session rows below that prefix, requires the same seed AND the
+// same --workers, and otherwise starts fresh rather than remapping
+// in-flight search lines.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -327,9 +328,10 @@ CampaignResult Campaign::run_parallel() {
   }
 
   // ---- resume a checkpointed parallel session ----
+  std::vector<RankLogRecord> restored_logs;
   if (options_.resume && session) {
-    std::optional<ckpt::CampaignCheckpoint> c =
-        read_checkpoint(options_.log_dir);
+    std::optional<ResumePoint> point = read_resume_point(options_.log_dir);
+    ckpt::CampaignCheckpoint* c = point ? &point->checkpoint : nullptr;
     if (c && c->seed == options_.seed && c->workers == workers &&
         c->worker_cursors.size() == static_cast<std::size_t>(workers)) {
       // Validate every cursor's strategy blob BEFORE touching shared
@@ -365,7 +367,8 @@ CampaignResult Campaign::run_parallel() {
         rt::CoverageBitmap bitmap(target_.table->num_branches());
         for (sym::BranchId b : c->covered) bitmap.mark(b);
         coverage.merge(bitmap);
-        result.iterations = std::move(c->iterations);
+        result.iterations = std::move(point->iterations);
+        restored_logs = std::move(point->rank_logs);
         result.bugs = std::move(c->bugs);
         result.restarts = c->restarts;
         result.max_constraint_set = c->max_constraint_set;
@@ -429,7 +432,8 @@ CampaignResult Campaign::run_parallel() {
     }
   }
 
-  if (session) session->begin_iterations(result.iterations);
+  if (session) session->begin_iterations(result.iterations, restored_logs);
+  restored_logs = {};
   if (options_.journal && session) {
     const std::filesystem::path journal_path =
         session->dir() / "journal.jsonl";
@@ -544,13 +548,7 @@ CampaignResult Campaign::run_parallel() {
     c.cold_forks = result.cold_forks;
     c.fork_server_restarts = result.fork_server_restarts;
     c.batch_runs = result.batch_runs;
-    for (const IterationRecord& r : result.iterations) {
-      if (r.iteration < prefix) c.iterations.push_back(r);
-    }
-    std::sort(c.iterations.begin(), c.iterations.end(),
-              [](const IterationRecord& a, const IterationRecord& b) {
-                return a.iteration < b.iteration;
-              });
+    c.session = session->mark();
     c.bugs = result.bugs;
     c.covered = coverage.bitmap().covered_ids();
     c.registry = registry.all();
@@ -574,7 +572,7 @@ CampaignResult Campaign::run_parallel() {
     c.ledger_state = ledger_blob.str();
     session->write_checkpoint(c);
     session->write_ledger(ledger, *target_.table);
-    session->write_coverage_timeline(c.iterations);
+    session->write_coverage_timeline(result.iterations, prefix);
     journal.flush();
     export_obs();
   };
@@ -710,6 +708,14 @@ CampaignResult Campaign::run_parallel() {
       stop.store(true);
     }
   };
+
+  // Resume rewrote iterations.csv and rank_logs.txt without the rows the
+  // snapshot had in flight, so its offsets no longer describe them:
+  // re-stamp it before any worker appends.
+  if (result.resumed && track_cursors) {
+    std::lock_guard<std::mutex> lock(mu);
+    save_checkpoint_locked();
+  }
 
   // ---- the worker loop ----
   const auto worker_body = [&](int w) {

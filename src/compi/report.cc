@@ -13,6 +13,12 @@ namespace compi {
 PhaseBreakdown compute_phase_breakdown(const CampaignResult& result) {
   PhaseBreakdown b;
   b.total_seconds = result.total_seconds;
+  // Per-iteration phase times are summed over every worker, and workers
+  // overlap: the time they could fill is workers x wall clock, so that is
+  // what the shares divide (serial: one worker, plain wall time).
+  const double capacity =
+      static_cast<double>(std::max<std::size_t>(result.workers_used, 1)) *
+      b.total_seconds;
 
   std::vector<double> exec_us;
   std::vector<double> solve_us;
@@ -28,7 +34,7 @@ PhaseBreakdown compute_phase_breakdown(const CampaignResult& result) {
     PhaseStats p;
     p.name = std::move(name);
     p.total_seconds = total;
-    p.share = b.total_seconds > 0.0 ? total / b.total_seconds : 0.0;
+    p.share = capacity > 0.0 ? total / capacity : 0.0;
     if (!samples.empty()) {
       p.p50_us = obs::percentile(samples, 0.50);
       p.p95_us = obs::percentile(samples, 0.95);
@@ -41,10 +47,11 @@ PhaseBreakdown compute_phase_breakdown(const CampaignResult& result) {
       phase("execute", result.total_exec_seconds, exec_us));
   b.phases.push_back(phase("solve", result.total_solve_seconds, solve_us));
   // Everything the driver does between runs: planning, instrumentation
-  // replay, coverage merging, logging.  Clamped at zero — with sub-ms
-  // iterations the measured phases can overshoot the wall clock slightly.
+  // replay, coverage merging, logging, and workers waiting on each other.
+  // Clamped at zero — with sub-ms iterations the measured phases can
+  // overshoot the wall clock slightly.
   const double overhead =
-      std::max(0.0, b.total_seconds - result.total_exec_seconds -
+      std::max(0.0, capacity - result.total_exec_seconds -
                         result.total_solve_seconds);
   b.phases.push_back(phase("overhead", overhead, {}));
   return b;

@@ -16,14 +16,17 @@ struct CampaignResult;
 struct PhaseStats {
   std::string name;
   double total_seconds = 0.0;
-  double share = 0.0;  // fraction of campaign wall time, [0, 1]
+  /// Fraction of campaign wall time, [0, 1]; under --workers, of
+  /// workers x wall time.
+  double share = 0.0;
   double p50_us = -1.0;
   double p95_us = -1.0;
   double max_us = -1.0;
 };
 
 /// Campaign wall time split into execute / solve / overhead (everything
-/// else: instrumentation replay, planning, logging).  Shares sum to ~1.
+/// else: instrumentation replay, planning, logging).  Shares sum to ~1,
+/// also under --workers (they divide by workers x wall time).
 struct PhaseBreakdown {
   std::vector<PhaseStats> phases;
   double total_seconds = 0.0;

@@ -95,17 +95,11 @@ ckpt::CampaignCheckpoint sample_checkpoint() {
   c.sandbox_signal_kills = 3;
   c.sandbox_hang_kills = 2;
   c.sandbox_harvest_bytes = 123456;
-  IterationRecord rec;
-  rec.iteration = 11;
-  rec.nprocs = 6;
-  rec.focus = 2;
-  rec.outcome = rt::Outcome::kSegfault;
-  rec.constraint_set_size = 7;
-  rec.covered_branches = 13;
-  rec.exec_seconds = 0.0321;
-  rec.solve_seconds = 1.25e-4;
-  rec.restart = true;
-  c.iterations.push_back(rec);
+  c.session = {.csv_offset = 1482,
+               .csv_rows = 12,
+               .csv_hash = 0xfeedfacecafebeefULL,
+               .rank_log_offset = 90210,
+               .rank_log_records = 72};
   BugRecord bug;
   bug.first_iteration = 3;
   bug.occurrences = 4;
@@ -161,10 +155,11 @@ TEST(Ckpt, CampaignCheckpointRoundTrips) {
   EXPECT_EQ(back->sandbox_signal_kills, c.sandbox_signal_kills);
   EXPECT_EQ(back->sandbox_hang_kills, c.sandbox_hang_kills);
   EXPECT_EQ(back->sandbox_harvest_bytes, c.sandbox_harvest_bytes);
-  ASSERT_EQ(back->iterations.size(), 1u);
-  EXPECT_EQ(back->iterations[0].outcome, rt::Outcome::kSegfault);
-  EXPECT_EQ(back->iterations[0].exec_seconds, c.iterations[0].exec_seconds);
-  EXPECT_EQ(back->iterations[0].solve_seconds, c.iterations[0].solve_seconds);
+  EXPECT_EQ(back->session.csv_offset, c.session.csv_offset);
+  EXPECT_EQ(back->session.csv_rows, c.session.csv_rows);
+  EXPECT_EQ(back->session.csv_hash, c.session.csv_hash);
+  EXPECT_EQ(back->session.rank_log_offset, c.session.rank_log_offset);
+  EXPECT_EQ(back->session.rank_log_records, c.session.rank_log_records);
   ASSERT_EQ(back->bugs.size(), 1u);
   EXPECT_EQ(back->bugs[0].message, c.bugs[0].message);
   EXPECT_EQ(back->bugs[0].named_inputs, c.bugs[0].named_inputs);

@@ -70,6 +70,13 @@ struct Corpus {
   std::string ledger_csv;
   std::string bugs_txt;
   std::string summary_txt;
+  /// A serial session killed after 33 iterations (checkpoints every 5):
+  /// its head snapshot (next_iteration 33), the .bak before it (30), and
+  /// the append-only files both point into.
+  std::string halted_checkpoint;
+  std::string halted_checkpoint_bak;
+  std::string halted_csv;
+  std::string halted_rank_logs;
 };
 
 const Corpus& corpus() {
@@ -107,6 +114,23 @@ const Corpus& corpus() {
       opts.log_dir = dir.path.string();
       (void)Campaign(fig2_target(), opts).run();
       out.parallel_checkpoint = slurp(dir.path / "checkpoint.txt");
+    }
+    {
+      TempDir dir;
+      CampaignOptions opts;
+      opts.seed = 11;
+      opts.iterations = 40;
+      opts.initial_nprocs = 4;
+      opts.max_procs = 8;
+      opts.dfs_phase_iterations = 20;
+      opts.checkpoint_interval = 5;
+      opts.halt_after_iterations = 33;
+      opts.log_dir = dir.path.string();
+      (void)Campaign(fig2_target(), opts).run();
+      out.halted_checkpoint = slurp(dir.path / "checkpoint.txt");
+      out.halted_checkpoint_bak = slurp(dir.path / "checkpoint.txt.bak");
+      out.halted_csv = slurp(dir.path / "iterations.csv");
+      out.halted_rank_logs = slurp(dir.path / "rank_logs.txt");
     }
     {
       // Coordinator snapshots are the serial shape plus the coord section;
@@ -193,11 +217,11 @@ TEST(DurableFuzz, CheckpointReadNeverCrashes) {
 }
 
 TEST(DurableFuzz, OldVersionCheckpointIsRejectedCleanly) {
-  // v7 (pre-fork-server, no sandbox2 line) and any other non-current
-  // version must be refused by design: the campaign falls back to a
-  // fresh start.
+  // v8 (iteration rows inside the snapshot, no session line), v7
+  // (pre-fork-server, no sandbox2 line) and any other non-current version
+  // must be refused by design: the campaign falls back to a fresh start.
   for (const char* version :
-       {"0", "1", "2", "3", "4", "5", "6", "7", "99", "-5"}) {
+       {"0", "1", "2", "3", "4", "5", "6", "7", "8", "99", "-5"}) {
     std::string bytes = corpus().serial_checkpoint;
     const std::string current =
         "compi-checkpoint " + std::to_string(ckpt::CampaignCheckpoint::kVersion);
@@ -328,6 +352,203 @@ TEST(DurableFuzz, ResumeOverCorruptedCheckpointStillCompletes) {
     const CampaignResult result = Campaign(fig2_target(), opts).run();
     EXPECT_EQ(result.iterations.size(), 30u)
         << (result.resumed ? "resumed a corrupt snapshot?" : "fresh");
+  }
+}
+
+// ---------------------------------------------------------------------------
+// v9: the snapshot's SessionMark must agree with the session files.
+// ---------------------------------------------------------------------------
+
+/// `checkpoint` with its `session` line replaced by the given numbers.
+std::string with_mark(const std::string& checkpoint,
+                      const std::string& numbers) {
+  const std::size_t at = checkpoint.find("\nsession ");
+  if (at == std::string::npos) return checkpoint;
+  const std::size_t end = checkpoint.find('\n', at + 1);
+  return checkpoint.substr(0, at) + "\nsession " + numbers +
+         checkpoint.substr(end);
+}
+
+ckpt::SessionMark mark_of(const std::string& checkpoint) {
+  std::istringstream is(checkpoint);
+  const auto c = ckpt::CampaignCheckpoint::read(is);
+  return c ? c->session : ckpt::SessionMark{};
+}
+
+std::string numbers(const ckpt::SessionMark& m) {
+  return std::to_string(m.csv_offset) + ' ' + std::to_string(m.csv_rows) +
+         ' ' + std::to_string(m.csv_hash) + ' ' +
+         std::to_string(m.rank_log_offset) + ' ' +
+         std::to_string(m.rank_log_records);
+}
+
+/// Writes the halted serial session (.bak, CSV, rank logs) into `dir`,
+/// with `head` as its checkpoint.txt.
+void plant_session(const fs::path& dir, const std::string& head) {
+  spit(dir / "checkpoint.txt", head);
+  spit(dir / "checkpoint.txt.bak", corpus().halted_checkpoint_bak);
+  spit(dir / "iterations.csv", corpus().halted_csv);
+  spit(dir / "rank_logs.txt", corpus().halted_rank_logs);
+}
+
+TEST(DurableFuzz, SessionMarkThatDisagreesWithTheFilesFallsBackToBak) {
+  const ckpt::SessionMark head = mark_of(corpus().halted_checkpoint);
+  const ckpt::SessionMark bak = mark_of(corpus().halted_checkpoint_bak);
+  ASSERT_GT(head.csv_rows, bak.csv_rows);
+  ASSERT_GT(head.rank_log_records, 0u);
+  ASSERT_EQ(head.csv_offset, corpus().halted_csv.size());
+  ASSERT_EQ(head.rank_log_offset, corpus().halted_rank_logs.size());
+
+  TempDir dir;
+  plant_session(dir.path, corpus().halted_checkpoint);
+  {
+    const auto point = read_resume_point(dir.path);
+    ASSERT_TRUE(point.has_value());
+    EXPECT_EQ(point->iterations.size(), head.csv_rows);
+    EXPECT_EQ(point->rank_logs.size(), head.rank_log_records);
+  }
+
+  // The CSV row boundary just before the head's offset: cutting there
+  // puts the offset mid-row with respect to the shorter prefix.
+  const std::size_t last_row =
+      corpus().halted_csv.rfind('\n', head.csv_offset - 2) + 1;
+  std::vector<std::pair<const char*, ckpt::SessionMark>> bad;
+  auto m = head;
+  m.csv_offset = head.csv_offset + 1;  // past the end of iterations.csv
+  bad.emplace_back("csv offset past end", m);
+  m = head;
+  m.csv_offset = head.csv_offset - 3;  // mid-row
+  bad.emplace_back("csv offset mid-row", m);
+  m = head;
+  m.csv_rows = head.csv_rows + 1;
+  bad.emplace_back("csv row count too high", m);
+  m = head;
+  m.csv_offset = last_row;  // a boundary, but one row fewer than recorded
+  bad.emplace_back("csv row count too low", m);
+  m = head;
+  m.csv_offset = 0;  // "no CSV" while rows are recorded
+  bad.emplace_back("csv absent with rows", m);
+  m = head;
+  m.csv_hash = head.csv_hash ^ 1;  // a row changed in place
+  bad.emplace_back("csv hash", m);
+  m = head;
+  m.rank_log_offset = head.rank_log_offset + 1;
+  bad.emplace_back("rank log offset past end", m);
+  m = head;
+  m.rank_log_offset = head.rank_log_offset - 1;
+  bad.emplace_back("rank log offset mid-record", m);
+  m = head;
+  m.rank_log_records = head.rank_log_records - 1;
+  bad.emplace_back("rank log record count", m);
+
+  for (const auto& [what, mark] : bad) {
+    plant_session(dir.path, with_mark(corpus().halted_checkpoint,
+                                      numbers(mark)));
+    const auto point = read_resume_point(dir.path);
+    ASSERT_TRUE(point.has_value()) << what;
+    EXPECT_EQ(point->checkpoint.session.csv_rows, bak.csv_rows) << what;
+    EXPECT_EQ(point->iterations.size(), bak.csv_rows) << what;
+    EXPECT_EQ(point->rank_logs.size(), bak.rank_log_records) << what;
+  }
+
+  // With the .bak disagreeing too, nothing is resumable: a resume starts
+  // fresh and runs its whole budget.
+  m = bak;
+  m.csv_offset = corpus().halted_csv.size() + 100;
+  plant_session(dir.path, with_mark(corpus().halted_checkpoint,
+                                    numbers(bad.front().second)));
+  spit(dir.path / "checkpoint.txt.bak",
+       with_mark(corpus().halted_checkpoint_bak, numbers(m)));
+  EXPECT_FALSE(read_resume_point(dir.path).has_value());
+  CampaignOptions opts;
+  opts.seed = 11;
+  opts.iterations = 40;
+  opts.initial_nprocs = 4;
+  opts.max_procs = 8;
+  opts.dfs_phase_iterations = 20;
+  opts.resume = true;
+  opts.log_dir = dir.path.string();
+  const CampaignResult result = Campaign(fig2_target(), opts).run();
+  EXPECT_FALSE(result.resumed);
+  EXPECT_EQ(result.iterations.size(), 40u);
+}
+
+TEST(DurableFuzz, SessionMarkFieldsTolerateAnyCorruption) {
+  // Seeded mutations of the four mark numbers (and of the session files
+  // they point into): every read either resumes exactly the recorded rows
+  // of one snapshot or declines — never a crash, never a partial prefix.
+  std::mt19937 rng(0x5E5510);
+  const ckpt::SessionMark head = mark_of(corpus().halted_checkpoint);
+  const ckpt::SessionMark bak = mark_of(corpus().halted_checkpoint_bak);
+  const auto mutate_number = [&](std::uint64_t v) -> std::string {
+    switch (std::uniform_int_distribution<int>(0, 5)(rng)) {
+      case 0: return "0";
+      case 1: return std::to_string(v + 1);
+      case 2: return std::to_string(v == 0 ? 0 : v - 1);
+      case 3: return std::to_string(v ^ (1ULL << std::uniform_int_distribution<
+                                              int>(0, 63)(rng)));
+      case 4: return "-1";
+      default: return "18446744073709551615";
+    }
+  };
+  TempDir dir;
+  for (int i = 0; i < kMutationsPerArtifact; ++i) {
+    const std::uint64_t fields[5] = {head.csv_offset, head.csv_rows,
+                                     head.csv_hash, head.rank_log_offset,
+                                     head.rank_log_records};
+    const int which = std::uniform_int_distribution<int>(0, 4)(rng);
+    std::string text;
+    for (int f = 0; f < 5; ++f) {
+      text += (f ? " " : "");
+      text += f == which ? mutate_number(fields[f]) : std::to_string(fields[f]);
+    }
+    plant_session(dir.path, with_mark(corpus().halted_checkpoint, text));
+    switch (i % 3) {  // also tear the files the marks point into
+      case 1:
+        spit(dir.path / "iterations.csv",
+             mutate(corpus().halted_csv, rng));
+        break;
+      case 2:
+        spit(dir.path / "rank_logs.txt", mutate(corpus().halted_rank_logs, rng));
+        break;
+      default:
+        break;
+    }
+    const auto point = read_resume_point(dir.path);
+    if (!point) continue;
+    const ckpt::SessionMark& got = point->checkpoint.session;
+    EXPECT_TRUE(got.csv_rows == head.csv_rows || got.csv_rows == bak.csv_rows)
+        << text;
+    EXPECT_EQ(point->iterations.size(), got.csv_rows) << text;
+    // Rank-log framing is checked, not hashed: a flipped digit in a record
+    // header can still move that one record out of the kept range.
+    EXPECT_LE(point->rank_logs.size(), got.rank_log_records) << text;
+    for (std::size_t r = 0; r < point->iterations.size(); ++r) {
+      EXPECT_EQ(point->iterations[r].iteration, static_cast<int>(r)) << text;
+    }
+  }
+}
+
+TEST(DurableFuzz, RankLogReaderToleratesAnyCorruption) {
+  std::mt19937 rng(0x4A9C10);
+  TempDir dir;
+  const std::vector<RankLogRecord> pristine = [&] {
+    spit(dir.path / "rank_logs.txt", corpus().halted_rank_logs);
+    return read_rank_logs(dir.path);
+  }();
+  ASSERT_FALSE(pristine.empty());
+  for (int i = 0; i < kMutationsPerArtifact; ++i) {
+    const std::string bytes = mutate(corpus().halted_rank_logs, rng);
+    spit(dir.path / "rank_logs.txt", bytes);
+    const std::vector<RankLogRecord> got = read_rank_logs(dir.path);
+    if (bytes.size() < corpus().halted_rank_logs.size() &&
+        corpus().halted_rank_logs.compare(0, bytes.size(), bytes) == 0) {
+      // A torn tail keeps exactly the complete records before it.
+      ASSERT_LE(got.size(), pristine.size());
+      for (std::size_t r = 0; r < got.size(); ++r) {
+        EXPECT_EQ(got[r], pristine[r]);
+      }
+    }
   }
 }
 

@@ -150,12 +150,6 @@ TEST(MatchOutcomes, CheckpointV6RoundTripsInterleavingState) {
   ckpt::CampaignCheckpoint c;
   c.seed = 9;
   c.next_iteration = 4;
-  IterationRecord rec;
-  rec.iteration = 3;
-  rec.nprocs = 3;
-  rec.outcome = rt::Outcome::kDeadlock;
-  rec.interleaving = 7;
-  c.iterations.push_back(rec);
   BugRecord bug;
   bug.outcome = rt::Outcome::kOrphanMessage;
   bug.message = "1 message(s) unreceived at finalize";
@@ -180,9 +174,6 @@ TEST(MatchOutcomes, CheckpointV6RoundTripsInterleavingState) {
   c.write(ss);
   const auto back = ckpt::CampaignCheckpoint::read(ss);
   ASSERT_TRUE(back.has_value());
-  ASSERT_EQ(back->iterations.size(), 1u);
-  EXPECT_EQ(back->iterations[0].outcome, rt::Outcome::kDeadlock);
-  EXPECT_EQ(back->iterations[0].interleaving, 7);
   ASSERT_EQ(back->bugs.size(), 1u);
   EXPECT_EQ(back->bugs[0].outcome, rt::Outcome::kOrphanMessage);
   EXPECT_EQ(back->bugs[0].decisions, c.bugs[0].decisions);

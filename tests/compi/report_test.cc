@@ -4,6 +4,8 @@
 
 #include <sstream>
 
+#include "compi/driver.h"
+
 namespace compi {
 namespace {
 
@@ -49,6 +51,39 @@ TEST(TablePrinter, BytesFormatting) {
   EXPECT_EQ(TablePrinter::bytes(6554), "6.4K");
   EXPECT_EQ(TablePrinter::bytes(104857600), "100.0M");
   EXPECT_EQ(TablePrinter::bytes(2ull << 30), "2.0G");
+}
+
+TEST(PhaseBreakdown, WorkerSharesDivideByWorkersTimesWall) {
+  // Four workers for one wall-clock second: their launch phases overlap and
+  // sum to 3.72 s, which the report once divided by the 1 s wall clock
+  // alone (execute 372%).
+  CampaignResult result;
+  result.workers_used = 4;
+  result.total_seconds = 1.0;
+  for (int i = 0; i < 4; ++i) {
+    IterationRecord r;
+    r.iteration = i;
+    r.worker = i;
+    r.exec_seconds = 0.93;
+    r.solve_seconds = 0.05;
+    result.iterations.push_back(r);
+  }
+  result.total_exec_seconds = 4 * 0.93;
+  result.total_solve_seconds = 4 * 0.05;
+
+  const PhaseBreakdown b = compute_phase_breakdown(result);
+  ASSERT_EQ(b.phases.size(), 3u);
+  double sum = 0.0;
+  for (const PhaseStats& p : b.phases) {
+    EXPECT_GE(p.share, 0.0) << p.name;
+    EXPECT_LE(p.share, 1.0) << p.name;
+    sum += p.share;
+  }
+  EXPECT_LE(sum, 1.0 + 1e-9);
+  EXPECT_NEAR(b.phases[0].share, 0.93, 1e-9);  // execute
+  EXPECT_NEAR(b.phases[1].share, 0.05, 1e-9);  // solve
+  EXPECT_NEAR(b.phases[2].share, 0.02, 1e-9);  // overhead: the remainder
+  EXPECT_NEAR(b.phases[2].total_seconds, 0.08, 1e-9);
 }
 
 }  // namespace
